@@ -6,9 +6,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <new>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -17,6 +15,7 @@
 #include "core/render.hpp"
 #include "core/study.hpp"
 #include "obs/accountant.hpp"  // readPeakRssBytes
+#include "obs/file.hpp"
 #include "obs/trace.hpp"       // appendJsonEscaped
 
 namespace symfail::bench::detail {
@@ -113,9 +112,7 @@ public:
             out += buf;
         }
         out += "}}\n";
-        std::ofstream file{path_, std::ios::binary};
-        file << out;
-        if (!file) throw std::runtime_error("cannot write bench JSON: " + path_);
+        obs::writeFile(path_, out);
         std::printf("wrote bench results to %s\n", path_.c_str());
     }
 

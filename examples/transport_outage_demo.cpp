@@ -68,7 +68,7 @@ int main() {
         transport::Channel* ackBack = unit.ackChannel.get();
         unit.dataChannel->setReceiver(
             [&server, ackBack](const std::string& bytes) {
-                if (const auto ack = server.receiveFrame(bytes)) {
+                if (const auto ack = server.ingestFrame(bytes).ack) {
                     ackBack->send(transport::encodeAck(*ack));
                 }
             });
@@ -134,7 +134,7 @@ int main() {
             {{name, units[static_cast<std::size_t>(i)].loggerApp->logFileContent(),
               1.0}});
         std::printf("  %-9s coverage %5.1f%%   boots %zu/%zu   panics %zu/%zu\n",
-                    name.c_str(), 100.0 * server.coverage(name),
+                    name.c_str(), 100.0 * server.reassembler().coverage(name),
                     delivered.bootCount(), truth.bootCount(),
                     delivered.panics().size(), truth.panics().size());
     }

@@ -2,26 +2,15 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <stdexcept>
-#include <string_view>
 
 #include "analysis/tables.hpp"
+#include "obs/file.hpp"
+#include "obs/trace.hpp"
 
 namespace symfail::core {
 namespace {
 
 using analysis::TextTable;
-
-void writeFile(const std::filesystem::path& path, const std::string& content,
-               std::vector<std::string>& written) {
-    std::ofstream out{path};
-    if (!out) {
-        throw std::runtime_error("cannot write " + path.string());
-    }
-    out << content;
-    written.push_back(path.string());
-}
 
 std::string histogramCsv(const sim::Histogram& hist) {
     TextTable table{{"bin_lo", "bin_hi", "count"}};
@@ -79,20 +68,21 @@ std::vector<std::string> exportFieldCsv(const FieldStudyResults& results,
                           std::to_string(row.panic.type), std::to_string(row.count),
                           TextTable::num(row.percent), TextTable::num(row.paperPercent)});
         }
-        writeFile(dir / "table2_panics.csv", table.renderCsv(), written);
+        written.push_back(obs::writeFile(dir / "table2_panics.csv", table.renderCsv()));
     }
     // Figure 2 histograms.
-    writeFile(dir / "fig2_reboot_durations_full.csv",
-              histogramCsv(analysis::ShutdownDiscriminator::rebootDurationHistogram(
-                  results.dataset, 40'000.0, 40)),
-              written);
-    writeFile(dir / "fig2_reboot_durations_zoom.csv",
-              histogramCsv(analysis::ShutdownDiscriminator::rebootDurationHistogram(
-                  results.dataset, 500.0, 25)),
-              written);
+    written.push_back(obs::writeFile(
+        dir / "fig2_reboot_durations_full.csv",
+        histogramCsv(analysis::ShutdownDiscriminator::rebootDurationHistogram(
+            results.dataset, 40'000.0, 40))));
+    written.push_back(obs::writeFile(
+        dir / "fig2_reboot_durations_zoom.csv",
+        histogramCsv(analysis::ShutdownDiscriminator::rebootDurationHistogram(
+            results.dataset, 500.0, 25))));
     // Figure 3.
-    writeFile(dir / "fig3_burst_lengths.csv",
-              counterCsv(results.fig3BurstLengths, "burst_length"), written);
+    written.push_back(
+        obs::writeFile(dir / "fig3_burst_lengths.csv",
+                       counterCsv(results.fig3BurstLengths, "burst_length")));
     // Figure 5.
     {
         TextTable table{{"category", "panics", "to_freeze", "to_self_shutdown",
@@ -103,7 +93,8 @@ std::vector<std::string> exportFieldCsv(const FieldStudyResults& results,
                           std::to_string(row.toSelfShutdown),
                           std::to_string(row.isolated())});
         }
-        writeFile(dir / "fig5_coalescence.csv", table.renderCsv(), written);
+        written.push_back(
+            obs::writeFile(dir / "fig5_coalescence.csv", table.renderCsv()));
     }
     // Table 3.
     {
@@ -113,11 +104,12 @@ std::vector<std::string> exportFieldCsv(const FieldStudyResults& results,
                           std::to_string(row.voiceCall), std::to_string(row.message),
                           std::to_string(row.unspecified)});
         }
-        writeFile(dir / "table3_activity.csv", table.renderCsv(), written);
+        written.push_back(obs::writeFile(dir / "table3_activity.csv", table.renderCsv()));
     }
     // Figure 6.
-    writeFile(dir / "fig6_running_apps.csv",
-              counterCsv(results.fig6AppCounts, "apps_at_panic"), written);
+    written.push_back(
+        obs::writeFile(dir / "fig6_running_apps.csv",
+                       counterCsv(results.fig6AppCounts, "apps_at_panic")));
     // Table 4.
     {
         TextTable table{{"category", "hl_outcome", "application", "count",
@@ -132,11 +124,11 @@ std::vector<std::string> exportFieldCsv(const FieldStudyResults& results,
                           row.app, std::to_string(row.count),
                           TextTable::num(row.percentOfAllPanics)});
         }
-        writeFile(dir / "table4_apps.csv", table.renderCsv(), written);
+        written.push_back(obs::writeFile(dir / "table4_apps.csv", table.renderCsv()));
     }
     // Crash families.
-    writeFile(dir / "crash_families.csv", crashFamilyTable(results).renderCsv(),
-              written);
+    written.push_back(obs::writeFile(dir / "crash_families.csv",
+                                     crashFamilyTable(results).renderCsv()));
     // Headline + evaluation.
     {
         TextTable table{{"metric", "measured", "paper"}};
@@ -160,7 +152,7 @@ std::vector<std::string> exportFieldCsv(const FieldStudyResults& results,
                       TextTable::num(eval.selfShutdownDetection.recall(), 4), ""});
         table.addRow({"panic_capture_rate",
                       TextTable::num(eval.panicCaptureRate(), 4), ""});
-        writeFile(dir / "headline.csv", table.renderCsv(), written);
+        written.push_back(obs::writeFile(dir / "headline.csv", table.renderCsv()));
     }
     return written;
 }
@@ -179,7 +171,7 @@ std::vector<std::string> exportForumCsv(const forum::ForumStudyResult& result,
                       TextTable::num(result.percent(cell.type, cell.recovery)),
                       TextTable::num(cell.percent)});
     }
-    writeFile(dir / "table1_forum.csv", table.renderCsv(), written);
+    written.push_back(obs::writeFile(dir / "table1_forum.csv", table.renderCsv()));
 
     TextTable summary{{"metric", "value"}};
     summary.addRow({"classified_failures", std::to_string(result.classifiedFailures)});
@@ -189,7 +181,7 @@ std::vector<std::string> exportForumCsv(const forum::ForumStudyResult& result,
     summary.addRow({"filter_recall", TextTable::num(result.filterRecall, 4)});
     summary.addRow({"type_accuracy", TextTable::num(result.typeAccuracy, 4)});
     summary.addRow({"recovery_accuracy", TextTable::num(result.recoveryAccuracy, 4)});
-    writeFile(dir / "forum_summary.csv", summary.renderCsv(), written);
+    written.push_back(obs::writeFile(dir / "forum_summary.csv", summary.renderCsv()));
     return written;
 }
 
@@ -197,30 +189,6 @@ namespace {
 
 /// Minimal JSON building: escaped strings, arrays and objects assembled
 /// by hand (the output schema is fixed, a JSON library would be overkill).
-std::string jsonEscape(std::string_view s) {
-    std::string out = "\"";
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            case '\r': out += "\\r"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x",
-                                  static_cast<unsigned>(c));
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    out += '"';
-    return out;
-}
-
 std::string jsonNum(double value) {
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.6g", value);
@@ -234,17 +202,17 @@ std::string crashFamiliesJsonObject(const FieldStudyResults& results) {
     for (std::size_t i = 0; i < results.crashFamilies.rows.size(); ++i) {
         const auto& row = results.crashFamilies.rows[i];
         if (i != 0) json += ", ";
-        json += "{\"id\": " + jsonEscape(row.familyId) +
-                ", \"panic\": " + jsonEscape(symbos::toString(row.panic)) +
+        json += "{\"id\": " + obs::jsonQuoted(row.familyId) +
+                ", \"panic\": " + obs::jsonQuoted(symbos::toString(row.panic)) +
                 ", \"dumps\": " + std::to_string(row.dumps) +
                 ", \"share_percent\": " + jsonNum(row.sharePct) +
                 ", \"mtbf_hours\": " + jsonNum(row.mtbfHours) +
                 ", \"phones\": " + std::to_string(row.phones) +
                 ", \"distinct_signatures\": " + std::to_string(row.distinctSignatures) +
-                ", \"top_app\": " + jsonEscape(row.topApp) + ", \"frames\": [";
+                ", \"top_app\": " + obs::jsonQuoted(row.topApp) + ", \"frames\": [";
         for (std::size_t f = 0; f < row.frames.size(); ++f) {
             if (f != 0) json += ", ";
-            json += jsonEscape(row.frames[f]);
+            json += obs::jsonQuoted(row.frames[f]);
         }
         json += "]}";
     }
@@ -272,7 +240,7 @@ std::string fieldResultsToJson(const FieldStudyResults& results) {
     for (std::size_t i = 0; i < results.table2.size(); ++i) {
         const auto& row = results.table2[i];
         if (i != 0) json += ", ";
-        json += "{\"panic\": " + jsonEscape(symbos::toString(row.panic)) +
+        json += "{\"panic\": " + obs::jsonQuoted(symbos::toString(row.panic)) +
                 ", \"count\": " + std::to_string(row.count) +
                 ", \"percent\": " + jsonNum(row.percent) +
                 ", \"paper_percent\": " + jsonNum(row.paperPercent) + "}";
@@ -285,7 +253,7 @@ std::string fieldResultsToJson(const FieldStudyResults& results) {
     for (const auto& [len, count] : results.fig3BurstLengths.entries()) {
         if (!first) json += ", ";
         first = false;
-        json += jsonEscape(std::to_string(len)) + ": " + std::to_string(count);
+        json += obs::jsonQuoted(std::to_string(len)) + ": " + std::to_string(count);
     }
     json += "},\n";
 
@@ -296,7 +264,7 @@ std::string fieldResultsToJson(const FieldStudyResults& results) {
     for (std::size_t i = 0; i < coal.byCategory.size(); ++i) {
         const auto& row = coal.byCategory[i];
         if (i != 0) json += ", ";
-        json += "{\"category\": " + jsonEscape(symbos::toString(row.category)) +
+        json += "{\"category\": " + obs::jsonQuoted(symbos::toString(row.category)) +
                 ", \"total\": " + std::to_string(row.total) +
                 ", \"to_freeze\": " + std::to_string(row.toFreeze) +
                 ", \"to_self_shutdown\": " + std::to_string(row.toSelfShutdown) + "}";
@@ -315,7 +283,7 @@ std::string fieldResultsToJson(const FieldStudyResults& results) {
     for (const auto& [n, count] : results.fig6AppCounts.entries()) {
         if (!first) json += ", ";
         first = false;
-        json += jsonEscape(std::to_string(n)) + ": " + std::to_string(count);
+        json += obs::jsonQuoted(std::to_string(n)) + ": " + std::to_string(count);
     }
     json += "},\n";
 
@@ -329,9 +297,9 @@ std::string fieldResultsToJson(const FieldStudyResults& results) {
                               : row.relation == analysis::PanicRelation::SelfShutdown
                                   ? "self-shutdown"
                                   : "none";
-        json += "{\"category\": " + jsonEscape(symbos::toString(row.category)) +
-                ", \"outcome\": " + jsonEscape(outcome) +
-                ", \"app\": " + jsonEscape(row.app) +
+        json += "{\"category\": " + obs::jsonQuoted(symbos::toString(row.category)) +
+                ", \"outcome\": " + obs::jsonQuoted(outcome) +
+                ", \"app\": " + obs::jsonQuoted(row.app) +
                 ", \"percent\": " + jsonNum(row.percentOfAllPanics) + "}";
     }
     json += "],\n";
@@ -356,11 +324,7 @@ std::string fieldResultsToJson(const FieldStudyResults& results) {
 }
 
 void exportFieldJson(const FieldStudyResults& results, const std::string& path) {
-    std::ofstream out{path};
-    if (!out) {
-        throw std::runtime_error("cannot write " + path);
-    }
-    out << fieldResultsToJson(results);
+    obs::writeFile(path, fieldResultsToJson(results));
 }
 
 std::string crashFamiliesToJson(const FieldStudyResults& results) {
@@ -368,11 +332,7 @@ std::string crashFamiliesToJson(const FieldStudyResults& results) {
 }
 
 void exportCrashJson(const FieldStudyResults& results, const std::string& path) {
-    std::ofstream out{path};
-    if (!out) {
-        throw std::runtime_error("cannot write " + path);
-    }
-    out << crashFamiliesToJson(results);
+    obs::writeFile(path, crashFamiliesToJson(results));
 }
 
 std::vector<std::string> exportCrashCsv(const FieldStudyResults& results,
@@ -380,8 +340,8 @@ std::vector<std::string> exportCrashCsv(const FieldStudyResults& results,
     const std::filesystem::path dir{directory};
     std::filesystem::create_directories(dir);
     std::vector<std::string> written;
-    writeFile(dir / "crash_families.csv", crashFamilyTable(results).renderCsv(),
-              written);
+    written.push_back(obs::writeFile(dir / "crash_families.csv",
+                                     crashFamilyTable(results).renderCsv()));
     return written;
 }
 

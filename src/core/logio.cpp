@@ -5,6 +5,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "obs/file.hpp"
+
 namespace symfail::core {
 
 std::vector<std::string> saveLogs(const std::vector<analysis::PhoneLog>& logs,
@@ -13,13 +15,8 @@ std::vector<std::string> saveLogs(const std::vector<analysis::PhoneLog>& logs,
     std::filesystem::create_directories(dir);
     std::vector<std::string> written;
     for (const auto& log : logs) {
-        const auto path = dir / (log.phoneName + ".log");
-        std::ofstream out{path};
-        if (!out) {
-            throw std::runtime_error("cannot write " + path.string());
-        }
-        out << log.logFileContent;
-        written.push_back(path.string());
+        written.push_back(
+            obs::writeFile(dir / (log.phoneName + ".log"), log.logFileContent));
     }
     return written;
 }

@@ -3,10 +3,9 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <stdexcept>
 
 #include "analysis/dataset.hpp"
+#include "obs/file.hpp"
 
 namespace symfail::core {
 namespace {
@@ -219,10 +218,7 @@ std::vector<std::string> exportPerfCsv(const PerfReport& report,
                "," + u64(cell.peakRssBytes) + "," +
                std::to_string(cell.queueDepthPeak) + "\n";
     }
-    std::ofstream out{path, std::ios::binary};
-    out << csv;
-    if (!out) throw std::runtime_error("cannot write " + path);
-    return {path};
+    return {obs::writeFile(path, csv)};
 }
 
 void publishPerfMetrics(const PerfReport& report, obs::MetricsRegistry& registry) {

@@ -2,10 +2,9 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <stdexcept>
 
 #include "analysis/tables.hpp"
+#include "obs/file.hpp"
 #include "obs/trace.hpp"  // appendJsonEscaped
 
 namespace symfail::experiment {
@@ -54,14 +53,6 @@ void appendCellParams(std::string& out, const Cell& cell) {
     appendKey(out, "self_shutdown_threshold_seconds");
     out += jsonNum(cell.selfShutdownThresholdSeconds);
     out += '}';
-}
-
-void writeFile(const std::filesystem::path& path, const std::string& content,
-               std::vector<std::string>& written) {
-    std::ofstream out{path, std::ios::binary};
-    out << content;
-    if (!out) throw std::runtime_error("cannot write " + path.string());
-    written.push_back(path.string());
 }
 
 }  // namespace
@@ -160,9 +151,7 @@ std::string sweepToJson(const Summary& summary) {
 }
 
 void exportSweepJson(const Summary& summary, const std::string& path) {
-    std::ofstream out{path, std::ios::binary};
-    out << sweepToJson(summary);
-    if (!out) throw std::runtime_error("cannot write sweep JSON: " + path);
+    obs::writeFile(path, sweepToJson(summary));
 }
 
 std::vector<std::string> exportSweepCsv(const Summary& summary,
@@ -186,7 +175,7 @@ std::vector<std::string> exportSweepCsv(const Summary& summary,
                               jsonNum(stats.bootstrapHigh)});
             }
         }
-        writeFile(dir / "sweep_summary.csv", table.renderCsv(), written);
+        written.push_back(obs::writeFile(dir / "sweep_summary.csv", table.renderCsv()));
     }
     {
         analysis::TextTable table{{"cell", "trial", "seed", "status", "metric",
@@ -207,7 +196,7 @@ std::vector<std::string> exportSweepCsv(const Summary& summary,
                 }
             }
         }
-        writeFile(dir / "sweep_trials.csv", table.renderCsv(), written);
+        written.push_back(obs::writeFile(dir / "sweep_trials.csv", table.renderCsv()));
     }
     return written;
 }

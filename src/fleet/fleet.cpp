@@ -184,33 +184,28 @@ FleetResult runCampaign(const FleetConfig& config) {
             dataChannel->setTraceTrack(device->traceTrack());
             ackChannel->setTraceTrack(device->traceTrack());
             transport::Channel* ackPtr = ackChannel.get();
+            sim::Simulator* simPtr = &simulator;
             if (provenance != nullptr) {
-                // Server-edge reconciliation: stamp what the reassembler
-                // stored (or count the rejected/duplicate copy) before the
-                // ack ships back.
                 uploadAgent->setProvenance(provenance);
                 dataChannel->setProvenance(provenance);
-                sim::Simulator* simPtr = &simulator;
-                dataChannel->setReceiver([&server, ackPtr, provenance,
-                                          simPtr](const std::string& bytes) {
-                    const auto ingest = server.ingestFrame(bytes);
-                    if (ingest.ack) {
-                        provenance->segmentReconciled(
-                            ingest.phone, ingest.seq, ingest.payload.size(),
-                            ingest.duplicate, simPtr->now());
-                        ackPtr->send(transport::encodeAck(*ingest.ack));
-                    } else {
-                        provenance->frameRejected(simPtr->now());
-                    }
-                });
-            } else {
-                dataChannel->setReceiver(
-                    [&server, ackPtr](const std::string& bytes) {
-                        if (const auto ack = server.receiveFrame(bytes)) {
-                            ackPtr->send(transport::encodeAck(*ack));
-                        }
-                    });
             }
+            // Server edge: with a tracker attached, stamp what the
+            // reassembler stored (or count the rejected/duplicate copy)
+            // before the ack ships back.
+            dataChannel->setReceiver([&server, ackPtr, provenance,
+                                      simPtr](const std::string& bytes) {
+                const auto ingest = server.ingestFrame(bytes);
+                if (ingest.ack) {
+                    if (provenance != nullptr) {
+                        provenance->segmentReconciled(ingest.phone, ingest.seq,
+                                                      ingest.payload.size(),
+                                                      ingest.duplicate, simPtr->now());
+                    }
+                    ackPtr->send(transport::encodeAck(*ingest.ack));
+                } else if (provenance != nullptr) {
+                    provenance->frameRejected(simPtr->now());
+                }
+            });
         }
 
         // Lineage starts at the flash write: the adapter stamps every Log
@@ -379,7 +374,6 @@ FleetResult runCampaign(const FleetConfig& config) {
         report.segmentsStored = reassembly.segmentsStored;
 
         result.collectedLogs = server.collectedLogs();
-        result.truncatedUploadsIgnored = server.truncatedUploadsIgnored();
         std::map<std::string, std::size_t> deliveredByPhone;
         for (const auto& log : result.collectedLogs) {
             const auto records = logger::parseLogFile(log.logFileContent).size();

@@ -132,14 +132,12 @@ struct FleetResult {
     std::vector<phone::GroundTruth> truths;  ///< parallel to phoneNames
     faults::FaultRates derivedRates;
 
-    /// What the collection server holds at campaign end (per-phone best
-    /// copy, with coverage attached); empty when transport is disabled.
+    /// What the collection server holds at campaign end (per-phone
+    /// reassembled copy, with coverage attached); empty when transport is
+    /// disabled.
     std::vector<analysis::PhoneLog> collectedLogs;
     /// Transport-layer accounting for the campaign.
     transport::TransportReport transport;
-    /// Whole-file uploads the server refused because they carried fewer
-    /// records than the copy it already held.
-    std::uint64_t truncatedUploadsIgnored{0};
 
     // Fleet-level ground totals (from the injectors).
     std::uint64_t panicsInjected{0};

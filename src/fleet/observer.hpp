@@ -15,8 +15,10 @@
 // bit-identical to an unobserved run.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "fleet/collection.hpp"
 #include "simkernel/simulator.hpp"
@@ -64,8 +66,10 @@ public:
     /// reports nothing.
     [[nodiscard]] virtual std::uint64_t approxMemoryBytes() const { return 0; }
 
-    void onWholeFile(const std::string& /*phoneName*/, std::string_view /*content*/,
-                     bool /*stored*/) override {}
+    /// Never called: the chunked path is the only ingest path.  Kept
+    /// because the benchmark driver (perfbench/) still overrides it.
+    virtual void onWholeFile(const std::string& /*phoneName*/,
+                             std::string_view /*content*/, bool /*stored*/) {}
     void onFrameAccepted(const transport::IngestResult& /*frame*/) override {}
 };
 

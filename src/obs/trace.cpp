@@ -1,8 +1,8 @@
 #include "obs/trace.hpp"
 
 #include <cstdio>
-#include <fstream>
-#include <stdexcept>
+
+#include "obs/file.hpp"
 
 namespace symfail::obs {
 namespace {
@@ -46,6 +46,12 @@ void appendJsonEscaped(std::string& out, std::string_view s) {
                 }
         }
     }
+}
+
+std::string jsonQuoted(std::string_view s) {
+    std::string out;
+    appendQuoted(out, s);
+    return out;
 }
 
 ChromeTraceWriter::ChromeTraceWriter(Options options) : options_{options} {
@@ -218,11 +224,7 @@ std::string ChromeTraceWriter::json() const {
 }
 
 void ChromeTraceWriter::writeFile(const std::string& path) const {
-    std::ofstream file{path, std::ios::binary};
-    if (!file) throw std::runtime_error("cannot open trace file: " + path);
-    const std::string doc = json();
-    file.write(doc.data(), static_cast<std::streamsize>(doc.size()));
-    if (!file) throw std::runtime_error("failed writing trace file: " + path);
+    obs::writeFile(path, json());
 }
 
 }  // namespace symfail::obs

@@ -193,4 +193,7 @@ private:
 /// Appends `s` to `out` with JSON string escaping (quotes not included).
 void appendJsonEscaped(std::string& out, std::string_view s);
 
+/// `s` as a quoted, escaped JSON string literal.
+[[nodiscard]] std::string jsonQuoted(std::string_view s);
+
 }  // namespace symfail::obs

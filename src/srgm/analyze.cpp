@@ -4,12 +4,12 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
-#include <stdexcept>
 
 #include "analysis/tables.hpp"
+#include "obs/file.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace symfail::srgm {
 namespace {
@@ -51,30 +51,6 @@ GroupReport analyzeGroup(std::string name, const EventData& data,
     return group;
 }
 
-std::string jsonEscape(std::string_view s) {
-    std::string out = "\"";
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            case '\r': out += "\\r"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x",
-                                  static_cast<unsigned>(c));
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    out += '"';
-    return out;
-}
-
 std::string jsonNum(double value) {
     if (!std::isfinite(value)) return "null";
     char buf[64];
@@ -84,7 +60,7 @@ std::string jsonNum(double value) {
 
 std::string fitJson(const FitResult& fit, bool best) {
     std::string json = "{\"model\": ";
-    json += jsonEscape(modelName(fit.kind));
+    json += obs::jsonQuoted(modelName(fit.kind));
     json += ", \"a\": " + jsonNum(fit.params.a);
     json += ", \"b\": " + jsonNum(fit.params.b);
     json += ", \"c\": " + jsonNum(fit.params.c);
@@ -106,7 +82,7 @@ std::string holdoutJson(const HoldoutResult& h) {
     json += ", \"split\": " + jsonNum(h.splitFraction);
     json += ", \"prefix_events\": " + std::to_string(h.prefixEvents);
     json += ", \"tail_events\": " + std::to_string(h.tailEvents);
-    json += ", \"best_model\": " + jsonEscape(modelName(h.bestKind));
+    json += ", \"best_model\": " + obs::jsonQuoted(modelName(h.bestKind));
     json += ", \"predicted_tail_count\": " + jsonNum(h.predictedTailCount);
     json += ", \"actual_tail_count\": " + jsonNum(h.actualTailCount);
     json += ", \"count_rel_error\": " + jsonNum(h.countRelError);
@@ -120,14 +96,14 @@ std::string holdoutJson(const HoldoutResult& h) {
 }
 
 std::string groupJson(const GroupReport& g) {
-    std::string json = "{\"name\": " + jsonEscape(g.name);
+    std::string json = "{\"name\": " + obs::jsonQuoted(g.name);
     json += ", \"events\": " + std::to_string(g.events);
     json += ", \"observed_hours\": " + jsonNum(g.observedHours);
     json += ", \"mtbf_hours\": " + jsonNum(g.mtbfHours);
     json += ", \"laplace_trend\": " + jsonNum(g.laplace);
     json += ", \"best_model\": ";
     json += g.bestIndex < g.fits.size()
-                ? jsonEscape(modelName(g.fits[g.bestIndex].kind))
+                ? obs::jsonQuoted(modelName(g.fits[g.bestIndex].kind))
                 : "null";
     json += ", \"fits\": [";
     for (std::size_t i = 0; i < g.fits.size(); ++i) {
@@ -177,14 +153,6 @@ void renderGroupText(const GroupReport& g, std::string& out) {
                       h.splitFraction);
         out += buf;
     }
-}
-
-void writeFile(const std::filesystem::path& path, const std::string& content,
-               std::vector<std::string>& written) {
-    std::ofstream out{path};
-    if (!out) throw std::runtime_error("cannot write " + path.string());
-    out << content;
-    written.push_back(path.string());
 }
 
 /// Shortest-round-trip-ish formatting for CSV cells whose magnitude spans
@@ -327,8 +295,9 @@ std::vector<std::string> exportSrgmCsv(const SrgmReport& report,
     for (const GroupReport& g : report.versions) {
         addGroupRows(g, fitsTable, holdoutTable);
     }
-    writeFile(dir / "srgm_fits.csv", fitsTable.renderCsv(), written);
-    writeFile(dir / "srgm_holdout.csv", holdoutTable.renderCsv(), written);
+    written.push_back(obs::writeFile(dir / "srgm_fits.csv", fitsTable.renderCsv()));
+    written.push_back(
+        obs::writeFile(dir / "srgm_holdout.csv", holdoutTable.renderCsv()));
     return written;
 }
 

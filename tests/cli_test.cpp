@@ -204,6 +204,26 @@ TEST(Cli, CampaignAnalyzeWorkflow) {
     std::filesystem::remove_all(dir);
 }
 
+// A write that only fails when the buffered bytes are flushed (a full
+// disk) must fail the command after the run instead of printing "wrote ..."
+// and exiting 0.
+TEST(Cli, ReportsFailedWritesAfterTheRun) {
+    if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+    EXPECT_EQ(cli::runCli({"campaign", "--phones", "2", "--days", "10", "--json",
+                           "/dev/full"}),
+              1);
+    EXPECT_EQ(cli::runCli({"trace", "--phones", "2", "--days", "10", "--json",
+                           "/dev/full"}),
+              1);
+    const auto dir = std::filesystem::temp_directory_path() / "symfail-cli-devfull";
+    std::filesystem::remove_all(dir);
+    ASSERT_EQ(cli::runCli({"campaign", "--phones", "2", "--days", "10", "--logs",
+                           dir.string()}),
+              0);
+    EXPECT_EQ(cli::runCli({"crash", dir.string(), "--json", "/dev/full"}), 1);
+    std::filesystem::remove_all(dir);
+}
+
 TEST(Cli, CampaignWritesTraceAndMetricsFiles) {
     const auto dir = std::filesystem::temp_directory_path() / "symfail-cli-obs";
     std::filesystem::remove_all(dir);

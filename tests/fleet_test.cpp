@@ -9,7 +9,9 @@
 #include "fleet/collection.hpp"
 #include "fleet/fleet.hpp"
 #include "logger/records.hpp"
+#include "transport/channel.hpp"
 #include "transport/frame.hpp"
+#include "transport/upload_agent.hpp"
 
 namespace symfail::fleet {
 namespace {
@@ -85,124 +87,60 @@ TEST(FleetCampaign, VersionPoolAssigned) {
     EXPECT_EQ(result.phoneNames.size(), 6u);
 }
 
-TEST(CollectionServer, KeepsLatestCopy) {
-    CollectionServer server;
-    server.receive("a", "v1");
-    server.receive("a", "v2");
-    server.receive("b", "w1");
-    EXPECT_EQ(server.phoneCount(), 2u);
-    EXPECT_EQ(server.uploadsReceived(), 3u);
-    EXPECT_TRUE(server.has("a"));
-    EXPECT_FALSE(server.has("c"));
-    const auto logs = server.collectedLogs();
-    ASSERT_EQ(logs.size(), 2u);
-    EXPECT_EQ(logs[0].phoneName, "a");
-    EXPECT_EQ(logs[0].logFileContent, "v2");
-}
-
-TEST(CollectionServer, UploadPathDeliversParseableLogs) {
-    // Wire a real logger's upload agent to the collection server and check
-    // the uploaded content analyzes cleanly.
-    sim::Simulator simulator;
-    phone::PhoneDevice::Config config;
-    config.name = "uploader";
-    config.seed = 44;
-    phone::PhoneDevice device{simulator, config};
-    logger::FailureLogger loggerApp{device};
-    CollectionServer server;
-    loggerApp.setUploadSink(
-        [&server](const std::string& name, const std::string& content) {
-            server.receive(name, content);
-        },
-        sim::Duration::hours(12));
-    device.powerOn();
-    simulator.runUntil(sim::TimePoint::origin() + sim::Duration::days(3));
-
-    ASSERT_TRUE(server.has("uploader"));
-    const auto dataset = analysis::LogDataset::build(server.collectedLogs());
-    EXPECT_GE(dataset.bootCount(), 1u);
-    EXPECT_EQ(dataset.malformedLines(), 0u);
-}
-
-TEST(CollectionServer, TruncatedLateUploadCannotEraseRecords) {
-    // The old server blindly kept the latest upload; a phone re-uploading
-    // after log rotation (or a torn transfer) could replace five boots
-    // with one.  The reconciling server keeps the copy with the most
-    // records and counts the anomaly.
-    CollectionServer server;
-    const std::string full = logWithBoots(5);
-    const std::string truncated = logWithBoots(1);
-    server.receive("a", full);
-    server.receive("a", truncated);
-    EXPECT_EQ(server.truncatedUploadsIgnored(), 1u);
-    const auto logs = server.collectedLogs();
-    ASSERT_EQ(logs.size(), 1u);
-    EXPECT_EQ(logs[0].logFileContent, full);
-}
-
-TEST(CollectionServer, EmptyUploadIsHarmless) {
-    CollectionServer server;
-    server.receive("a", "");
-    EXPECT_TRUE(server.has("a"));
-    EXPECT_EQ(server.phoneCount(), 1u);
-    ASSERT_EQ(server.collectedLogs().size(), 1u);
-    EXPECT_TRUE(server.collectedLogs()[0].logFileContent.empty());
-
-    // Real data then arrives and wins; a later empty upload cannot erase it.
-    const std::string full = logWithBoots(3);
-    server.receive("a", full);
-    EXPECT_EQ(server.collectedLogs()[0].logFileContent, full);
-    server.receive("a", "");
-    EXPECT_EQ(server.collectedLogs()[0].logFileContent, full);
-    EXPECT_EQ(server.truncatedUploadsIgnored(), 1u);
-}
-
-TEST(CollectionServer, ReUploadIsIdempotent) {
-    CollectionServer server;
-    const std::string full = logWithBoots(4);
-    server.receive("a", full);
-    const auto before = server.collectedLogs();
-    server.receive("a", full);
-    server.receive("a", full);
-    EXPECT_EQ(server.phoneCount(), 1u);
-    EXPECT_EQ(server.uploadsReceived(), 3u);
-    EXPECT_EQ(server.truncatedUploadsIgnored(), 0u);
-    const auto after = server.collectedLogs();
-    ASSERT_EQ(after.size(), before.size());
-    EXPECT_EQ(after[0].logFileContent, before[0].logFileContent);
-    EXPECT_DOUBLE_EQ(after[0].coverage, 1.0);
-}
-
 TEST(CollectionServer, PhoneDeathMidCampaignLeavesPartialLogOnServer) {
     // The phone uploads for two days of a ten-day campaign, then drops off
-    // the network for good (lost, bricked, study drop-out): nothing it
-    // sends reaches the server again.  Everything uploaded before the
-    // death must survive and stay analyzable.
+    // the network for good (lost, bricked, study drop-out): its data
+    // channel is down from then to campaign end, so nothing it sends
+    // reaches the server again.  Everything uploaded before the death must
+    // survive and stay analyzable.
+    const auto origin = sim::TimePoint::origin();
     sim::Simulator simulator;
     CollectionServer server;
+    transport::ChannelConfig dataConfig = transport::ChannelConfig::gprs();
+    dataConfig.lossProb = 0.0;  // the outage is the only loss
+    dataConfig.outages.push_back(transport::OutageWindow{
+        origin + sim::Duration::days(2) + sim::Duration::hours(3),
+        origin + sim::Duration::days(10)});
+    transport::UploadPolicy policy;
+    policy.uploadPeriod = sim::Duration::hours(6);
+
+    // Destruction order as in runCampaign: the device (declared last,
+    // destroyed first) runs its power-down hooks while the logger and the
+    // agent are still alive.
+    std::unique_ptr<logger::FailureLogger> loggerApp;
+    std::unique_ptr<transport::Channel> dataChannel;
+    std::unique_ptr<transport::Channel> ackChannel;
+    std::unique_ptr<transport::UploadAgent> agent;
+    std::unique_ptr<phone::PhoneDevice> device;
     phone::PhoneDevice::Config config;
     config.name = "doomed";
     config.seed = 91;
-    phone::PhoneDevice device{simulator, config};
-    logger::FailureLogger loggerApp{device};
-    bool reachable = true;
-    loggerApp.setUploadSink(
-        [&server, &reachable](const std::string& name, const std::string& content) {
-            if (reachable) server.receive(name, content);
-        },
-        sim::Duration::hours(6));
-    simulator.scheduleAt(sim::TimePoint::origin() + sim::Duration::days(2),
-                         [&reachable]() { reachable = false; });
-    device.powerOn();
-    simulator.runUntil(sim::TimePoint::origin() + sim::Duration::days(10));
+    device = std::make_unique<phone::PhoneDevice>(simulator, config);
+    loggerApp = std::make_unique<logger::FailureLogger>(*device);
+    dataChannel = std::make_unique<transport::Channel>(simulator, dataConfig, 92);
+    ackChannel = std::make_unique<transport::Channel>(
+        simulator, transport::ChannelConfig::bluetooth(), 93);
+    agent = std::make_unique<transport::UploadAgent>(*device, *loggerApp, *dataChannel,
+                                                     *ackChannel, policy, 94);
+    dataChannel->setReceiver([&server, &ackChannel](const std::string& bytes) {
+        const auto ingest = server.ingestFrame(bytes);
+        if (ingest.ack) ackChannel->send(transport::encodeAck(*ingest.ack));
+    });
+    device->powerOn();
+    simulator.runUntil(origin + sim::Duration::days(10));
 
-    ASSERT_TRUE(server.has("doomed"));
+    EXPECT_GT(dataChannel->stats().outageDrops, 0u);
     const auto logs = server.collectedLogs();
     ASSERT_EQ(logs.size(), 1u);
-    // The server's copy is a strict partial log: real content, but less
-    // than the phone accumulated over the remaining eight days.
-    EXPECT_FALSE(logs[0].logFileContent.empty());
-    EXPECT_LT(logs[0].logFileContent.size(), loggerApp.logFileContent().size());
+    // The server's copy is a strict prefix of the phone's log: real
+    // content, but less than the phone accumulated over the remaining
+    // eight days.
+    const std::string& delivered = logs[0].logFileContent;
+    const std::string& truth = loggerApp->logFileContent();
+    EXPECT_FALSE(delivered.empty());
+    EXPECT_LT(delivered.size(), truth.size());
+    EXPECT_EQ(truth.compare(0, delivered.size(), delivered), 0)
+        << "the server must hold a prefix of the phone's log";
     const auto dataset = analysis::LogDataset::build(logs);
     EXPECT_GE(dataset.bootCount(), 1u);
     EXPECT_EQ(dataset.malformedLines(), 0u);
@@ -229,18 +167,18 @@ TEST(CollectionServer, InterleavedChunkUploadsFrom25Phones) {
             const auto& list = frames[static_cast<std::size_t>(i)];
             if (round >= list.size()) continue;
             const auto& frame = list[list.size() - 1 - round];  // reverse order
-            const auto ack = server.receiveFrame(transport::encodeFrame(frame));
+            const auto ack = server.ingestFrame(transport::encodeFrame(frame)).ack;
             ASSERT_TRUE(ack.has_value());
             EXPECT_EQ(ack->phone, frame.phone);
         }
     }
 
-    EXPECT_EQ(server.phoneCount(), 25u);
+    EXPECT_EQ(server.reassembler().phones().size(), 25u);
     const auto logs = server.collectedLogs();
     ASSERT_EQ(logs.size(), 25u);
     for (int i = 0; i < phoneCountTotal; ++i) {
         const auto idx = static_cast<std::size_t>(i);
-        EXPECT_DOUBLE_EQ(server.coverage(names[idx]), 1.0);
+        EXPECT_DOUBLE_EQ(server.reassembler().coverage(names[idx]), 1.0);
         // collectedLogs is sorted by phone name; find by name instead.
         const auto it = std::find_if(logs.begin(), logs.end(),
                                      [&](const analysis::PhoneLog& log) {

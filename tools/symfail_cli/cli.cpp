@@ -18,6 +18,7 @@
 #include "experiment/runner.hpp"
 #include "monitor/monitor.hpp"
 #include "osfault/validity.hpp"
+#include "obs/file.hpp"
 #include "obs/metrics.hpp"
 #include "srgm/analyze.hpp"
 #include "obs/profiler.hpp"
@@ -286,21 +287,13 @@ void writeMetricsFile(const obs::MetricsRegistry& registry, const std::string& p
     } else {
         body = registry.renderPrometheus();
     }
-    std::ofstream out{path, std::ios::binary};
-    out << body;
-    if (!out) {
-        throw std::runtime_error("cannot write metrics file: " + path);
-    }
+    obs::writeFile(path, body);
     std::printf("wrote %zu metrics to %s\n", registry.size(), path.c_str());
 }
 
 void writeTextFile(const std::string& path, const std::string& body,
                    const char* what) {
-    std::ofstream out{path, std::ios::binary};
-    out << body;
-    if (!out) {
-        throw std::runtime_error(std::string{"cannot write "} + what + ": " + path);
-    }
+    obs::writeFile(path, body);
     std::printf("wrote %s to %s\n", what, path.c_str());
 }
 
