@@ -3,6 +3,9 @@
 // algorithm's scaling.
 #include <benchmark/benchmark.h>
 
+#include <functional>
+#include <vector>
+
 #include "analysis/coalescence.hpp"
 #include "analysis/dataset.hpp"
 #include "logger/records.hpp"
@@ -35,14 +38,48 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleAndPop)->Range(1'024, 262'144);
 
+// Schedules n events, cancels every other one, then pops the rest: the
+// withdraw-a-pending-event pattern of AO dispatches and timers, at queue
+// depths up to a large fleet's.
+void BM_EventQueueCancel(benchmark::State& state) {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    sim::Rng rng{1};
+    std::vector<sim::EventId> ids(n);
+    for (auto _ : state) {
+        sim::EventQueue queue;
+        for (auto& id : ids) {
+            id = queue.schedule(sim::TimePoint::fromMicros(
+                                    static_cast<std::int64_t>(rng.nextU64() % 1'000'000)),
+                                []() {});
+        }
+        for (std::size_t i = 0; i < n; i += 2) {
+            benchmark::DoNotOptimize(queue.cancel(ids[i]));
+        }
+        while (!queue.empty()) {
+            benchmark::DoNotOptimize(queue.pop());
+        }
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
+}
+BENCHMARK(BM_EventQueueCancel)->Range(1'024, 262'144);
+
+// One simulated hour of a 1 s event that re-arms itself after each firing,
+// the way the monitor tick and the accounting sweep repeat.
+std::uint64_t runSelfRearmingTicks(sim::Simulator& simulator) {
+    std::uint64_t ticks = 0;
+    std::function<void()> tick = [&]() {
+        ++ticks;
+        simulator.scheduleAfter(sim::Duration::seconds(1), [&tick]() { tick(); });
+    };
+    simulator.scheduleAfter(sim::Duration::seconds(1), [&tick]() { tick(); });
+    simulator.runUntil(sim::TimePoint::origin() + sim::Duration::hours(1));
+    return ticks;
+}
+
 void BM_SimulatorPeriodicTicks(benchmark::State& state) {
     for (auto _ : state) {
         sim::Simulator simulator;
-        std::uint64_t ticks = 0;
-        simulator.schedulePeriodic(sim::Duration::seconds(1),
-                                   [&](sim::Periodic&) { ++ticks; });
-        simulator.runUntil(sim::TimePoint::origin() + sim::Duration::hours(1));
-        benchmark::DoNotOptimize(ticks);
+        benchmark::DoNotOptimize(runSelfRearmingTicks(simulator));
     }
     state.SetItemsProcessed(3'600 * state.iterations());
 }
@@ -56,11 +93,7 @@ void BM_SimulatorPeriodicTicksNullSink(benchmark::State& state) {
     for (auto _ : state) {
         sim::Simulator simulator;
         simulator.setTraceSink(&sink);
-        std::uint64_t ticks = 0;
-        simulator.schedulePeriodic(sim::Duration::seconds(1),
-                                   [&](sim::Periodic&) { ++ticks; });
-        simulator.runUntil(sim::TimePoint::origin() + sim::Duration::hours(1));
-        benchmark::DoNotOptimize(ticks);
+        benchmark::DoNotOptimize(runSelfRearmingTicks(simulator));
     }
     state.SetItemsProcessed(3'600 * state.iterations());
 }

@@ -265,6 +265,9 @@ FleetResult runCampaign(const FleetConfig& config) {
     // which order only the sweep itself).
     obs::ResourceAccountant* accountant = config.obs.accountant;
     std::function<void()> takeAccountingSample;
+    // Schedules the next sample, which re-arms after it runs; declared out
+    // here so the pending event's reference to it outlives the run.
+    std::function<void()> armAccountingSample;
     if (accountant != nullptr) {
         takeAccountingSample = [&simulator, &units, &server, accountant,
                                 monitor]() {
@@ -293,9 +296,13 @@ FleetResult runCampaign(const FleetConfig& config) {
                 accountant->record("monitor", monitor->approxMemoryBytes());
             }
         };
-        simulator.schedulePeriodic(
-            config.obs.accountingInterval, "obs.account",
-            [takeAccountingSample](sim::Periodic&) { takeAccountingSample(); });
+        armAccountingSample = [&]() {
+            simulator.scheduleAfter(config.obs.accountingInterval, "obs.account", [&]() {
+                takeAccountingSample();
+                armAccountingSample();
+            });
+        };
+        armAccountingSample();
     }
 
     simulator.runUntil(sim::TimePoint::origin() + config.campaign);

@@ -136,9 +136,14 @@ void FleetMonitor::onCampaignBegin(sim::Simulator& simulator,
     // safety margin).
     config_.health.heartbeatPeriod = config.loggerConfig.heartbeatPeriod;
     health_ = HealthEngine{config_.health};
-    tickHandle_ = simulator.schedulePeriodic(
-        config_.tick, "monitor.tick",
-        [this](sim::Periodic&) { tick(simulator_->now()); });
+    armTick();
+}
+
+void FleetMonitor::armTick() {
+    tickEvent_ = simulator_->scheduleAfter(config_.tick, "monitor.tick", [this]() {
+        tick(simulator_->now());
+        armTick();
+    });
 }
 
 FleetMonitor::Presence& FleetMonitor::registerPhone(const std::string& phoneName,
@@ -212,7 +217,7 @@ void FleetMonitor::onFrameAccepted(const transport::IngestResult& frame) {
 }
 
 void FleetMonitor::onCampaignEnd(sim::TimePoint at) {
-    tickHandle_.stop();
+    simulator_->cancel(tickEvent_);
     // The stream is closed: every held segment copy is final, so drain the
     // taps unconditionally (true gaps still hold their tails back).
     for (auto& [name, stream] : streams_) {

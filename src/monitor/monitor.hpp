@@ -149,6 +149,8 @@ private:
     /// log fully consumed as complete records) to the provenance tracker.
     void stampProvenance(const std::string& phoneName, const PhoneStream& stream);
     void tick(sim::TimePoint now);
+    /// Schedules the next tick, which re-arms after it runs.
+    void armTick();
     [[nodiscard]] std::optional<double> metricValue(
         const std::string& metric, const std::string& phone, sim::TimePoint now,
         const WindowStats& window,
@@ -160,7 +162,7 @@ private:
     std::map<std::string, PhoneStream> streams_;
     std::map<std::string, Presence> presence_;
     sim::Simulator* simulator_{nullptr};
-    sim::PeriodicHandle tickHandle_;
+    sim::EventId tickEvent_;
     std::vector<Snapshot> snapshots_;
     std::uint64_t framesSeen_{0};
     std::uint64_t recordsConsumed_{0};

@@ -85,6 +85,8 @@ TEST(Cli, ForumRuns) {
 
 TEST(Cli, ForumRejectsBadNumbers) {
     EXPECT_EQ(cli::runCli({"forum", "--reports", "many"}), 1);
+    EXPECT_EQ(cli::runCli({"forum", "--reports", "0"}), 1);
+    EXPECT_EQ(cli::runCli({"forum", "--reports", "-5"}), 1);
 }
 
 // Regression: std::stoll accepts partial parses, so "--phones 25x" used to
@@ -181,6 +183,25 @@ TEST(Cli, MonitorRejectsBadKnobs) {
     EXPECT_EQ(cli::runCli({"monitor", "--phones", "2", "--days", "2",
                            "--silence-hours", "-4"}),
               1);
+}
+
+// An outage window must start on or after day 0 and last at least a day;
+// anything else used to run a campaign with no outage at all.
+TEST(Cli, OutageOptionsAreBounded) {
+    for (const char* command : {"transport", "monitor"}) {
+        EXPECT_EQ(cli::runCli({command, "--phones", "1", "--days", "2", "--outage-day",
+                               "1", "--outage-days", "-5"}),
+                  1)
+            << command;
+        EXPECT_EQ(cli::runCli({command, "--phones", "1", "--days", "2", "--outage-day",
+                               "1", "--outage-days", "0"}),
+                  1)
+            << command;
+        EXPECT_EQ(cli::runCli({command, "--phones", "1", "--days", "2", "--outage-day",
+                               "-1"}),
+                  1)
+            << command;
+    }
 }
 
 TEST(Cli, AnalyzeRequiresDirectory) {
@@ -290,6 +311,9 @@ TEST(Cli, SweepRejectsBadOptions) {
     EXPECT_EQ(cli::runCli({"sweep", "--trials", "2x"}), 1);
     EXPECT_EQ(cli::runCli({"sweep", "--trials", "0"}), 1);
     EXPECT_EQ(cli::runCli({"sweep", "--jobs", "0"}), 1);
+    EXPECT_EQ(cli::runCli({"sweep", "--trials", "1", "--phones", "1", "--days", "2",
+                           "--bootstrap", "-1"}),
+              1);
     EXPECT_EQ(cli::runCli({"sweep", "--grid", "/definitely/not/there.json"}), 1);
 }
 

@@ -1,7 +1,11 @@
 // Unit tests for the discrete-event simulation substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <optional>
+#include <vector>
 
 #include "simkernel/event_queue.hpp"
 #include "simkernel/histogram.hpp"
@@ -253,8 +257,112 @@ TEST(EventQueue, Cancel) {
 
 TEST(EventQueue, CancelUnknownId) {
     EventQueue queue;
-    EXPECT_FALSE(queue.cancel(EventId{999}));
+    EXPECT_FALSE(queue.cancel(EventId{TimePoint::fromMicros(10), 999}));
     EXPECT_FALSE(queue.cancel(EventId{}));
+}
+
+// Reference-model property test: seeded random schedule/cancel/pop
+// sequences against a naive (time, seq)-sorted vector.  Times are drawn
+// from a handful of instants so same-time ordering is exercised hard, and
+// cancels target live, fired, already-cancelled, default and fabricated ids.
+TEST(EventQueue, MatchesSortedVectorModel) {
+    enum class State { Live, Fired, Cancelled };
+    struct Issued {
+        EventId id;
+        State state{State::Live};
+    };
+    struct ModelEntry {
+        TimePoint at;
+        std::uint64_t seq;
+        std::size_t handle;  // index into `issued`
+    };
+    int cancelsOf[3] = {0, 0, 0};  // by State of the targeted handle
+    int foreignCancels = 0;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        Rng rng{seed};
+        EventQueue queue;
+        std::vector<Issued> issued;
+        std::vector<ModelEntry> model;  // sorted by (at, seq)
+        std::uint64_t modelSeq = 0;
+        std::optional<std::size_t> ran;
+        const auto checkAgainstModel = [&]() {
+            ASSERT_EQ(queue.size(), model.size());
+            ASSERT_EQ(queue.empty(), model.empty());
+            if (model.empty()) {
+                ASSERT_FALSE(queue.nextTime().has_value());
+            } else {
+                ASSERT_EQ(queue.nextTime(), model.front().at);
+            }
+        };
+        for (int step = 0; step < 2'000; ++step) {
+            const auto op = rng.uniformInt(0, 99);
+            if (op < 45) {
+                const auto at = TimePoint::fromMicros(rng.uniformInt(0, 20));
+                const std::size_t handle = issued.size();
+                issued.push_back(
+                    Issued{queue.schedule(at, [&ran, handle]() { ran = handle; })});
+                const ModelEntry entry{at, ++modelSeq, handle};
+                model.insert(std::upper_bound(model.begin(), model.end(), entry,
+                                              [](const ModelEntry& a, const ModelEntry& b) {
+                                                  if (a.at != b.at) return a.at < b.at;
+                                                  return a.seq < b.seq;
+                                              }),
+                             entry);
+            } else if (op < 75) {
+                const auto kind = rng.uniformInt(0, 9);
+                if (kind == 0) {
+                    ++foreignCancels;
+                    ASSERT_FALSE(queue.cancel(EventId{}));
+                } else if (kind == 1 && !issued.empty()) {
+                    // Fabricated: a real seq paired with a time no event
+                    // uses, or a seq never handed out.
+                    ++foreignCancels;
+                    const auto& real = issued[static_cast<std::size_t>(rng.uniformInt(
+                        0, static_cast<std::int64_t>(issued.size()) - 1))];
+                    ASSERT_FALSE(queue.cancel(
+                        EventId{real.id.at + Duration::seconds(1), real.id.seq}));
+                    ASSERT_FALSE(queue.cancel(
+                        EventId{real.id.at, real.id.seq + 1'000'000}));
+                } else if (!issued.empty()) {
+                    auto& target = issued[static_cast<std::size_t>(rng.uniformInt(
+                        0, static_cast<std::int64_t>(issued.size()) - 1))];
+                    ++cancelsOf[static_cast<int>(target.state)];
+                    const bool live = target.state == State::Live;
+                    ASSERT_EQ(queue.cancel(target.id), live);
+                    if (live) {
+                        target.state = State::Cancelled;
+                        const auto handle =
+                            static_cast<std::size_t>(&target - issued.data());
+                        std::erase_if(model, [handle](const ModelEntry& e) {
+                            return e.handle == handle;
+                        });
+                    }
+                }
+            } else if (!model.empty()) {
+                auto fired = queue.pop();
+                ASSERT_EQ(fired.at, model.front().at);
+                ran.reset();
+                fired.action();
+                ASSERT_EQ(ran, model.front().handle);
+                issued[model.front().handle].state = State::Fired;
+                model.erase(model.begin());
+            }
+            ASSERT_NO_FATAL_FAILURE(checkAgainstModel());
+        }
+        while (!model.empty()) {
+            auto fired = queue.pop();
+            ran.reset();
+            fired.action();
+            ASSERT_EQ(ran, model.front().handle);
+            model.erase(model.begin());
+            ASSERT_NO_FATAL_FAILURE(checkAgainstModel());
+        }
+    }
+    // Every cancel category was exercised.
+    EXPECT_GT(cancelsOf[static_cast<int>(State::Live)], 0);
+    EXPECT_GT(cancelsOf[static_cast<int>(State::Fired)], 0);
+    EXPECT_GT(cancelsOf[static_cast<int>(State::Cancelled)], 0);
+    EXPECT_GT(foreignCancels, 0);
 }
 
 TEST(Simulator, AdvancesClock) {
@@ -276,26 +384,41 @@ TEST(Simulator, RunUntilStopsAtBoundary) {
     EXPECT_EQ(simulator.pendingEvents(), 1u);
 }
 
+// A self-re-arming event is the simulator's periodic series.  It stops
+// itself by not re-arming; inside its own action the id it is running
+// under has already fired, so cancel() reports false.
 TEST(Simulator, PeriodicFiresAndStops) {
     Simulator simulator;
     int ticks = 0;
-    auto handle = simulator.schedulePeriodic(Duration::seconds(1), [&](Periodic& p) {
+    EventId next;
+    std::function<void()> tick = [&]() {
         ++ticks;
-        if (ticks == 3) p.stop();
-    });
+        EXPECT_FALSE(simulator.cancel(next));
+        if (ticks == 3) return;
+        next = simulator.scheduleAfter(Duration::seconds(1), [&tick]() { tick(); });
+    };
+    next = simulator.scheduleAfter(Duration::seconds(1), [&tick]() { tick(); });
     simulator.runUntil(TimePoint::origin() + Duration::seconds(100));
     EXPECT_EQ(ticks, 3);
-    EXPECT_FALSE(handle.active());
+    EXPECT_EQ(simulator.pendingEvents(), 0u);
 }
 
+// Cancelling the pending id of a self-re-arming event from outside stops
+// the series.
 TEST(Simulator, PeriodicExternalStop) {
     Simulator simulator;
     int ticks = 0;
-    auto handle = simulator.schedulePeriodic(Duration::seconds(1),
-                                             [&](Periodic&) { ++ticks; });
-    simulator.scheduleAfter(Duration::fromSecondsF(2.5), [&]() { handle.stop(); });
+    EventId next;
+    std::function<void()> tick = [&]() {
+        ++ticks;
+        next = simulator.scheduleAfter(Duration::seconds(1), [&tick]() { tick(); });
+    };
+    next = simulator.scheduleAfter(Duration::seconds(1), [&tick]() { tick(); });
+    simulator.scheduleAfter(Duration::fromSecondsF(2.5),
+                            [&]() { EXPECT_TRUE(simulator.cancel(next)); });
     simulator.runUntil(TimePoint::origin() + Duration::seconds(100));
     EXPECT_EQ(ticks, 2);
+    EXPECT_EQ(simulator.pendingEvents(), 0u);
 }
 
 TEST(Simulator, SchedulingInPastClamps) {

@@ -156,6 +156,19 @@ long long numericOption(const std::vector<std::string>& args, const std::string&
     }
 }
 
+/// numericOption() restricted to [lo, hi]: an out-of-range value fails the
+/// run instead of silently doing something other than what was asked.
+long long boundedOption(const std::vector<std::string>& args, const std::string& name,
+                        long long fallback, long long lo, long long hi) {
+    const long long value = numericOption(args, name, fallback);
+    if (value < lo || value > hi) {
+        throw std::runtime_error(name + " must be in [" + std::to_string(lo) + ", " +
+                                 std::to_string(hi) + "], got " +
+                                 std::to_string(value));
+    }
+    return value;
+}
+
 bool hasFlag(const std::vector<std::string>& args, const std::string& name) {
     for (const auto& arg : args) {
         if (arg == name) return true;
@@ -193,17 +206,9 @@ double percentOption(const std::vector<std::string>& args, const std::string& na
 /// printing.
 long long parseFleetOptions(const std::vector<std::string>& args,
                             fleet::FleetConfig& config, long long defaultDays) {
-    const auto phones = numericOption(args, "--phones", config.phoneCount);
-    if (phones < 1 || phones > 100000) {
-        throw std::runtime_error("--phones must be in [1, 100000], got " +
-                                 std::to_string(phones));
-    }
-    config.phoneCount = static_cast<int>(phones);
-    const auto days = numericOption(args, "--days", defaultDays);
-    if (days < 1 || days > 100000) {
-        throw std::runtime_error("--days must be in [1, 100000], got " +
-                                 std::to_string(days));
-    }
+    config.phoneCount =
+        static_cast<int>(boundedOption(args, "--phones", config.phoneCount, 1, 100'000));
+    const auto days = boundedOption(args, "--days", defaultDays, 1, 100'000);
     config.campaign = sim::Duration::days(days);
     if (config.enrollmentWindow > config.campaign) {
         config.enrollmentWindow = config.campaign / 2;
@@ -389,8 +394,9 @@ void applyTransportOptions(const std::vector<std::string>& args,
     if (outageDay) {
         const auto start =
             sim::TimePoint::origin() +
-            sim::Duration::days(numericOption(args, "--outage-day", 0));
-        const auto length = sim::Duration::days(numericOption(args, "--outage-days", 3));
+            sim::Duration::days(boundedOption(args, "--outage-day", 0, 0, 100'000));
+        const auto length =
+            sim::Duration::days(boundedOption(args, "--outage-days", 3, 1, 100'000));
         transport::OutageWindow window{start, start + length};
         transportOptions.dataChannel.outages.push_back(window);
         transportOptions.ackChannel.outages.push_back(window);
@@ -615,16 +621,10 @@ int runSweep(const std::vector<std::string>& args) {
 
     experiment::RunnerOptions options;
     options.masterSeed = defaults.seed;
-    options.trials = static_cast<int>(numericOption(args, "--trials", 5));
-    options.jobs = static_cast<int>(numericOption(args, "--jobs", 1));
+    options.trials = static_cast<int>(boundedOption(args, "--trials", 5, 1, 100'000));
+    options.jobs = static_cast<int>(boundedOption(args, "--jobs", 1, 1, 1024));
     options.bootstrapResamples =
-        static_cast<int>(numericOption(args, "--bootstrap", 1000));
-    if (options.trials < 1 || options.trials > 100'000) {
-        throw std::runtime_error("--trials must be in [1, 100000]");
-    }
-    if (options.jobs < 1 || options.jobs > 1024) {
-        throw std::runtime_error("--jobs must be in [1, 1024]");
-    }
+        static_cast<int>(boundedOption(args, "--bootstrap", 1000, 0, 1'000'000));
     obs::MetricsRegistry registry;
     const auto metricsPath = option(args, "--metrics");
     if (metricsPath) options.metrics = &registry;
@@ -719,18 +719,11 @@ int runMonitor(const std::vector<std::string>& args) {
     applyTransportOptions(args, config.fleetConfig);
 
     monitor::MonitorConfig monitorConfig;
-    const auto tickHours = numericOption(args, "--tick-hours", 6);
-    if (tickHours < 1 || tickHours > 10000) {
-        throw std::runtime_error("--tick-hours must be in [1, 10000]");
-    }
+    const auto tickHours = boundedOption(args, "--tick-hours", 6, 1, 10'000);
     monitorConfig.tick = sim::Duration::hours(tickHours);
-    const auto silenceHours = numericOption(
-        args, "--silence-hours",
-        static_cast<long long>(monitorConfig.silenceHours));
-    if (silenceHours < 1 || silenceHours > 100000) {
-        throw std::runtime_error("--silence-hours must be in [1, 100000]");
-    }
-    monitorConfig.silenceHours = static_cast<double>(silenceHours);
+    monitorConfig.silenceHours = static_cast<double>(boundedOption(
+        args, "--silence-hours", static_cast<long long>(monitorConfig.silenceHours), 1,
+        100'000));
     monitor::FleetMonitor fleetMonitor{monitorConfig};
 
     const bool replayMode = hasFlag(args, "--replay");
@@ -1023,16 +1016,9 @@ int runPerf(const std::vector<std::string>& args) {
     options.fleetSizes = fleetSizesOption(
         args, phonesGiven ? std::vector<int>{options.base.phoneCount}
                           : options.fleetSizes);
-    const auto sampleHours = numericOption(args, "--sample-hours", 6);
-    if (sampleHours < 1 || sampleHours > 10000) {
-        throw std::runtime_error("--sample-hours must be in [1, 10000]");
-    }
-    options.sampleHours = sampleHours;
-    const auto stride = numericOption(args, "--stride", 64);
-    if (stride < 1 || stride > 1'000'000) {
-        throw std::runtime_error("--stride must be in [1, 1000000]");
-    }
-    options.samplingStride = static_cast<std::uint64_t>(stride);
+    options.sampleHours = boundedOption(args, "--sample-hours", 6, 1, 10'000);
+    options.samplingStride =
+        static_cast<std::uint64_t>(boundedOption(args, "--stride", 64, 1, 1'000'000));
     // Bounds parse up front so a malformed knob fails before the ladder
     // burns minutes; 0 disables a bound (the CI smoke job pins calibrated
     // values).
@@ -1097,8 +1083,8 @@ int runPerf(const std::vector<std::string>& args) {
 
 int runForum(const std::vector<std::string>& args) {
     core::StudyConfig config;
-    config.forumConfig.failureReports = static_cast<int>(
-        numericOption(args, "--reports", config.forumConfig.failureReports));
+    config.forumConfig.failureReports = static_cast<int>(boundedOption(
+        args, "--reports", config.forumConfig.failureReports, 1, 1'000'000));
     config.forumSeed = static_cast<std::uint64_t>(
         numericOption(args, "--seed", static_cast<long long>(config.forumSeed)));
     const core::FailureStudy study{config};
