@@ -1,6 +1,6 @@
 // M1: google-benchmark microbenchmarks of the substrates: event queue,
-// active-object dispatch, log serialization/parsing, and the coalescence
-// algorithm's scaling.
+// active-object dispatch, the RTimer tick, log serialization/parsing, and the
+// coalescence algorithm's scaling.
 #include <benchmark/benchmark.h>
 
 #include <functional>
@@ -15,6 +15,7 @@
 #include "simkernel/simulator.hpp"
 #include "symbos/function_ao.hpp"
 #include "symbos/kernel.hpp"
+#include "symbos/timer.hpp"
 
 namespace {
 
@@ -116,6 +117,44 @@ void BM_ActiveObjectDispatch(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ActiveObjectDispatch);
+
+// One active object re-arming itself through an RTimer every 60 s (the
+// logger heartbeat's shape) for range(0) simulated hours.  Reports the
+// simulator events each tick costs and the host time per tick.
+void BM_RTimerPeriodicTick(benchmark::State& state) {
+    const std::int64_t ticksPerRun = state.range(0) * 60;
+    std::uint64_t events = 0;
+    std::uint64_t ticks = 0;
+    for (auto _ : state) {
+        sim::Simulator simulator;
+        symbos::Kernel kernel{simulator};
+        const auto pid = kernel.createProcess("bench", symbos::ProcessKind::SystemServer);
+        symbos::RTimer* timer = nullptr;
+        symbos::FunctionAo ao{kernel.schedulerOf(pid), "bench-tick",
+                              [&](symbos::ExecContext& ctx, int) {
+                                  ++ticks;
+                                  timer->after(ctx, sim::Duration::seconds(60));
+                              }};
+        symbos::RTimer rtimer{ao};
+        timer = &rtimer;
+        kernel.runInProcess(pid, [&](symbos::ExecContext& ctx) {
+            rtimer.after(ctx, sim::Duration::seconds(60));
+        });
+        const std::uint64_t fired = simulator.runUntil(
+            sim::TimePoint::origin() + sim::Duration::hours(state.range(0)));
+        benchmark::DoNotOptimize(fired);
+        events += fired;
+        rtimer.cancel();
+    }
+    state.SetItemsProcessed(ticksPerRun * state.iterations());
+    state.counters["events_per_tick"] =
+        static_cast<double>(events) / static_cast<double>(ticks);
+    // Host time per tick, printed with its unit (e.g. "85ns").
+    state.counters["time_per_tick"] = benchmark::Counter(
+        static_cast<double>(ticks),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RTimerPeriodicTick)->Arg(1)->Arg(24);
 
 void BM_PanicRecordSerialize(benchmark::State& state) {
     logger::PanicRecord record;

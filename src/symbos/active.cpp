@@ -57,12 +57,12 @@ void ActiveScheduler::complete(ActiveObject& ao, int code) {
 void ActiveScheduler::complete(ActiveObject& ao, int code, CompleteOpts opts) {
     ao.pendingDispatch_ = kernel_->simulator().scheduleAfter(
         opts.delay, "symbos.ao", [this, ao = &ao, code, runCost = opts.runCost]() {
+            ao->pendingDispatch_ = {};
             dispatch(ao, code, runCost);
         });
 }
 
 void ActiveScheduler::dispatch(ActiveObject* ao, int code, sim::Duration runCost) {
-    ao->pendingDispatch_ = {};
     // Emitted before RunL: the AO (and its name) may not survive dispatch.
     if (auto* trace = kernel_->simulator().traceSink()) {
         const obs::TraceArg args[] = {{"code", code}};

@@ -10,6 +10,12 @@
 //       -> E32USER-CBase 47
 // and feeds each dispatch's simulated execution cost to the kernel's
 // ViewSrv watchdog, which panics monopolizing applications (ViewSrv 11).
+//
+// A completion is dispatched in one of two ways: complete() schedules the
+// dispatch as its own `symbos.ao` simulator event (after a delay, with a
+// run cost for the watchdog), as a server or fault driver signalling an
+// AO does; completeNow() runs it inside the current event, which is how
+// an RTimer fire reaches RunL without a second event.
 #pragma once
 
 #include <functional>
@@ -95,6 +101,14 @@ public:
     /// (E32USER-CBase 46).
     void complete(ActiveObject& ao, int code);
     void complete(ActiveObject& ao, int code, CompleteOpts opts);
+
+    /// Dispatches a completion on `ao` inside the caller's simulator event,
+    /// with no run cost: the RTimer fire path, where the timer's own event
+    /// already sits at the completion time, so one timer tick is one
+    /// event.  Stray-signal and leave handling are those of complete().
+    /// RunL may destroy `ao` (and whatever owns it), so the caller must not
+    /// touch either afterwards.
+    void completeNow(ActiveObject& ao, int code) { dispatch(&ao, code, {}); }
 
     /// Error handler invoked when runL() leaves.  Returns true when the
     /// error was handled; the default implementation returns false, which

@@ -37,11 +37,10 @@ void DbLogServer::record(const ActivityEvent& event) {
 }
 
 std::vector<ActivityEvent> DbLogServer::eventsSince(sim::TimePoint since) const {
-    std::vector<ActivityEvent> out;
-    for (const auto& e : events_) {
-        if (e.time >= since) out.push_back(e);
-    }
-    return out;
+    const auto first = std::partition_point(
+        events_.begin(), events_.end(),
+        [since](const ActivityEvent& row) { return row.time < since; });
+    return {first, events_.end()};
 }
 
 void SystemAgentServer::setBattery(int percent, bool charging) {

@@ -61,11 +61,14 @@ class DbLogServer {
 public:
     /// Records an activity row; rows for kinds the real database does not
     /// register (Bluetooth, Camera, WebBrowsing) are ignored, mirroring
-    /// the logger's limited visibility.
+    /// the logger's limited visibility.  Rows are stamped with the
+    /// simulator clock, so `event.time` never precedes the newest row.
     void record(const ActivityEvent& event);
 
+    /// The history, oldest first and so in time order.
     [[nodiscard]] const std::deque<ActivityEvent>& events() const { return events_; }
-    /// Rows at or after `since`, for incremental collection.
+    /// Rows at or after `since`, for incremental collection: a binary
+    /// search plus a copy of the new rows only.
     [[nodiscard]] std::vector<ActivityEvent> eventsSince(sim::TimePoint since) const;
     /// Bounds memory like the phone's rolling log database.
     void setCapacity(std::size_t maxRows) { capacity_ = maxRows; }

@@ -20,11 +20,16 @@ void RTimer::arm(const ExecContext& ctx, sim::TimePoint when) {
     outstanding_ = true;
     client_->setActive();
     const sim::Duration delay = when - simulator_->now();
-    pending_ = simulator_->scheduleAfter(delay, "symbos.timer", [this]() {
+    // The fire *is* the AO dispatch (one event per tick), so the event is
+    // labelled for the RunL it runs.
+    pending_ = simulator_->scheduleAfter(delay, "symbos.ao", [this]() {
         outstanding_ = false;
         pending_ = {};
-        if (client_->detached()) return;  // process torn down meanwhile
-        client_->scheduler().complete(*client_, KErrNone);
+        ActiveObject& client = *client_;
+        if (client.detached()) return;  // process torn down meanwhile
+        // RunL may destroy this timer (an OOM-killed daemon is torn down
+        // inside it): nothing after the dispatch touches `this`.
+        client.scheduler().completeNow(client, KErrNone);
     });
 }
 

@@ -3,6 +3,11 @@
 // An RTimer delivers a completion to an active object at a requested time.
 // Requesting a second event while one is outstanding panics with
 // E32USER-CBase 15 ("timer event already outstanding").
+//
+// The fire and the AO dispatch are one simulator event (`symbos.ao`): the
+// timer's event runs RunL directly through ActiveScheduler::completeNow,
+// so a periodic AO costs one event per tick.  AOs due at the same instant
+// run in the (time, seq) order their timers were armed in.
 #pragma once
 
 #include "simkernel/simulator.hpp"

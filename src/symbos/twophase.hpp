@@ -28,8 +28,11 @@ template <typename T, typename... Args>
     // a leave runs the op (destroying the half-built object); success pops
     // it without running (CleanupStack::pop), exactly like Pop() after
     // NewLC.
-    T* raw = object.release();
+    // The push comes first: with no trap handler it panics
+    // (E32USER-CBase 69), and `object` must still own the object then.
+    T* raw = object.get();
     ctx.cleanupStack().pushL(ctx, [raw]() { delete raw; });
+    object.release();
     raw->constructL(ctx);  // phase two: may leave
     ctx.cleanupStack().pop(ctx);
     return std::unique_ptr<T>{raw};

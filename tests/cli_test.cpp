@@ -201,6 +201,11 @@ TEST(Cli, OutageOptionsAreBounded) {
                                "-1"}),
                   1)
             << command;
+        // A length without a start day would silently schedule no outage.
+        EXPECT_EQ(cli::runCli({command, "--phones", "1", "--days", "2", "--outage-days",
+                               "5"}),
+                  1)
+            << command;
     }
 }
 

@@ -131,8 +131,10 @@ protected:
     }
 
     sim::Simulator simulator_;
-    std::unique_ptr<phone::PhoneDevice> device_;
+    // Declared before the device so the device dies first: its teardown
+    // runs the kernel's termination hooks, which call into the logger.
     std::unique_ptr<FailureLogger> logger_;
+    std::unique_ptr<phone::PhoneDevice> device_;
 };
 
 TEST_F(LoggerFixture, HeartbeatWritesAlivePeriodically) {

@@ -3,9 +3,14 @@
 // timers, and the system servers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "crash/dump.hpp"
 #include "faults/drivers.hpp"
 #include "phone/device.hpp"
+#include "simkernel/rng.hpp"
 #include "simkernel/simulator.hpp"
 #include "symbos/active.hpp"
 #include "symbos/cleanup.hpp"
@@ -751,6 +756,96 @@ TEST(SysServers, DbLogCapacityRolls) {
     }
     EXPECT_EQ(dbLog.events().size(), 3u);
     EXPECT_EQ(dbLog.events().front().time.micros(), 7);
+}
+
+// Linear-scan reference for DbLogServer::eventsSince.
+std::vector<ActivityEvent> rowsAtOrAfter(const DbLogServer& dbLog, sim::TimePoint since) {
+    std::vector<ActivityEvent> out;
+    for (const auto& row : dbLog.events()) {
+        if (row.time >= since) out.push_back(row);
+    }
+    return out;
+}
+
+bool sameRows(const std::vector<ActivityEvent>& a, const std::vector<ActivityEvent>& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const ActivityEvent& x, const ActivityEvent& y) {
+                          return x.time == y.time && x.kind == y.kind &&
+                                 x.incoming == y.incoming && x.isStart == y.isStart;
+                      });
+}
+
+TEST(SysServers, DbLogHistoryStaysTimeOrdered) {
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        sim::Rng rng{seed};
+        DbLogServer dbLog;
+        // About 200 of the 500 rows pass the kind filter, so the oldest
+        // are evicted too.
+        dbLog.setCapacity(100);
+        // Stamped like the simulator's clock: never backwards, and often
+        // several rows at one instant; every kind, filtered or not.
+        std::int64_t clock = 1'000;
+        for (int i = 0; i < 500; ++i) {
+            clock += rng.bernoulli(0.4) ? 0 : rng.uniformInt(1, 50);
+            const auto kind = static_cast<ActivityKind>(rng.uniformInt(0, 4));
+            dbLog.record(ActivityEvent{sim::TimePoint::fromMicros(clock), kind,
+                                       rng.bernoulli(0.5), rng.bernoulli(0.5)});
+        }
+        const auto& rows = dbLog.events();
+        ASSERT_EQ(rows.size(), 100u);
+        EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end(),
+                                   [](const ActivityEvent& a, const ActivityEvent& b) {
+                                       return a.time < b.time;
+                                   }))
+            << "seed " << seed;
+        // The search agrees with the scan at every row's time and just
+        // past it.
+        for (const auto& row : rows) {
+            for (const auto since : {row.time, row.time + sim::Duration::micros(1)}) {
+                EXPECT_TRUE(
+                    sameRows(dbLog.eventsSince(since), rowsAtOrAfter(dbLog, since)))
+                    << "seed " << seed << " since " << since.micros();
+            }
+        }
+    }
+}
+
+TEST(SysServers, DbLogEventsSinceMatchesLinearScan) {
+    DbLogServer dbLog;
+    // Rows at 10, 10, 20, 30, 30, 30, 40 µs.
+    for (const std::int64_t t : {10, 10, 20, 30, 30, 30, 40}) {
+        dbLog.record(ActivityEvent{sim::TimePoint::fromMicros(t),
+                                   ActivityKind::TextMessage, t % 20 == 0, true});
+    }
+    // Before the first row, equal to a row's time, between rows, after the
+    // last row.
+    for (const std::int64_t since : {0, 10, 15, 20, 25, 30, 40, 41, 1'000}) {
+        const auto at = sim::TimePoint::fromMicros(since);
+        EXPECT_TRUE(sameRows(dbLog.eventsSince(at), rowsAtOrAfter(dbLog, at)))
+            << "since " << since;
+    }
+    EXPECT_EQ(dbLog.eventsSince(sim::TimePoint::fromMicros(0)).size(), 7u);
+    EXPECT_EQ(dbLog.eventsSince(sim::TimePoint::fromMicros(30)).size(), 4u);
+    EXPECT_TRUE(dbLog.eventsSince(sim::TimePoint::fromMicros(41)).empty());
+
+    // Past the 4096-row capacity the oldest rows are evicted; the search
+    // must agree with the scan over what is left.
+    DbLogServer rolled;
+    for (std::int64_t i = 0; i < 5'000; ++i) {
+        rolled.record(ActivityEvent{sim::TimePoint::fromMicros(100 + 10 * (i / 3)),
+                                    ActivityKind::VoiceCall, false, i % 2 == 0});
+    }
+    ASSERT_EQ(rolled.events().size(), 4'096u);
+    const std::int64_t oldest = rolled.events().front().time.micros();
+    const std::int64_t newest = rolled.events().back().time.micros();
+    EXPECT_GT(oldest, 100);
+    for (const std::int64_t since : {std::int64_t{0}, oldest - 5, oldest, oldest + 5,
+                                     oldest + 10, (oldest + newest) / 2, newest - 5,
+                                     newest, newest + 1}) {
+        const auto at = sim::TimePoint::fromMicros(since);
+        EXPECT_TRUE(sameRows(rolled.eventsSince(at), rowsAtOrAfter(rolled, at)))
+            << "since " << since;
+    }
 }
 
 TEST(SysServers, SystemAgentLowBatteryHookFiresOnce) {

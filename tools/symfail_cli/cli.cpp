@@ -391,6 +391,10 @@ void applyTransportOptions(const std::vector<std::string>& args,
         transportOptions.policy.retriesEnabled = false;
     }
     const auto outageDay = option(args, "--outage-day");
+    if (!outageDay && option(args, "--outage-days")) {
+        throw std::runtime_error(
+            "--outage-days needs --outage-day (the outage's start day)");
+    }
     if (outageDay) {
         const auto start =
             sim::TimePoint::origin() +
